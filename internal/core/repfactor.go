@@ -78,14 +78,16 @@ func ComputeReplicationFactors(specs []BlockSpec, budget, maxPerBlock, maxIterat
 	// Lazy heaps: entries are revalidated against the current factor on
 	// pop. inc orders blocks by P/k descending (who most deserves a new
 	// replica); dec orders blocks by P/(k-1) ascending (cheapest donor).
-	inc := &repHeap{max: true}
-	dec := &repHeap{max: false}
-	for id, k := range factors {
-		heap.Push(inc, repEntry{id: id, k: k, key: perReplica(pop[id], k)})
-		if k > low[id] {
-			heap.Push(dec, repEntry{id: id, k: k, key: perReplica(pop[id], k-1)})
-		}
+	// inc starts with one entry per block, built in place and heapified
+	// once; IDs are unique, so the pop order does not depend on how the
+	// heap was built. dec starts empty: every block starts at its
+	// minimum, so none can donate yet.
+	inc := &repHeap{max: true, entries: make([]repEntry, 0, len(specs))}
+	for _, s := range specs {
+		inc.entries = append(inc.entries, repEntry{id: s.ID, k: s.MinReplicas, key: perReplica(s.Popularity, s.MinReplicas)})
 	}
+	heap.Init(inc)
+	dec := &repHeap{max: false}
 
 	res := RepFactorResult{}
 	for maxIterations == 0 || res.Iterations < maxIterations {

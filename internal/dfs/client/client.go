@@ -7,7 +7,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand/v2"
 	"strings"
 	"time"
@@ -25,11 +24,6 @@ var (
 	ErrEmptyFile = errors.New("client: empty write")
 	ErrChecksum  = errors.New("client: checksum mismatch on read")
 )
-
-// checksum matches the datanodes' CRC32C block checksum.
-func checksum(data []byte) uint32 {
-	return crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli))
-}
 
 // Client talks to one namenode. It is safe for concurrent use (it holds
 // no mutable state beyond the RNG used for replica choice, which is
@@ -255,7 +249,7 @@ func (c *Client) writeBlock(path string, chunk []byte) error {
 			Block:    resp.Block,
 			Pipeline: resp.Pipeline[1:],
 			Length:   len(chunk),
-			Checksum: checksum(chunk),
+			Checksum: proto.ChunkChecksum(chunk),
 		}
 		_, _, callErr := c.call(resp.Pipeline[0], write, chunk, c.timeout)
 		return callErr
@@ -290,12 +284,16 @@ func (c *Client) Read(path string) ([]byte, error) {
 	par.ForEach(len(locs), c.readAhead+1, func(i int) {
 		blocks[i], errs[i] = c.readBlockFresh(path, i, locs[i], orders[i])
 	})
-	var out []byte
+	size := 0
 	for i := range locs {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("client: read %s block %d: %w", path, locs[i].Block, errs[i])
 		}
-		out = append(out, blocks[i]...)
+		size += len(blocks[i])
+	}
+	out := make([]byte, 0, size)
+	for _, b := range blocks {
+		out = append(out, b...)
 	}
 	return out, nil
 }
@@ -359,7 +357,7 @@ func (c *Client) readBlockOrdered(loc proto.BlockLocation, order []int) ([]byte,
 			metrics.Default.Counter("dfs.client.read_failover").Inc()
 			continue
 		}
-		if resp.Checksum != 0 && checksum(data) != resp.Checksum {
+		if resp.Checksum != 0 && proto.ChunkChecksum(data) != resp.Checksum {
 			// Transfer corrupted the bytes; another replica may be fine.
 			lastErr = fmt.Errorf("%w: block %d from %s", ErrChecksum, loc.Block, addr)
 			continue

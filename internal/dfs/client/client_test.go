@@ -52,7 +52,7 @@ func TestCreateSplitsIntoBlocks(t *testing.T) {
 		if req.Type != proto.MsgWriteBlock {
 			return proto.ErrorMessage(errors.New("unexpected")), nil
 		}
-		if checksum(payload) != req.Checksum {
+		if proto.ChunkChecksum(payload) != req.Checksum {
 			return proto.ErrorMessage(errors.New("checksum mismatch")), nil
 		}
 		mu.Lock()
@@ -102,7 +102,7 @@ func TestReadFailsOverAcrossReplicas(t *testing.T) {
 	good := []byte("good data")
 	deadAddr := "127.0.0.1:1"
 	gooddn := startFake(t, func(req *proto.Message, _ []byte) (*proto.Message, []byte) {
-		return &proto.Message{Type: proto.MsgOK, Block: req.Block, Checksum: checksum(good)}, good
+		return &proto.Message{Type: proto.MsgOK, Block: req.Block, Checksum: proto.ChunkChecksum(good)}, good
 	})
 	nn := startFake(t, func(req *proto.Message, _ []byte) (*proto.Message, []byte) {
 		return &proto.Message{Type: proto.MsgOK, Locations: []proto.BlockLocation{
@@ -126,7 +126,7 @@ func TestReadRejectsChecksumMismatch(t *testing.T) {
 	bad := []byte("tampered")
 	dn := startFake(t, func(req *proto.Message, _ []byte) (*proto.Message, []byte) {
 		// Returns a checksum that does not match the payload.
-		return &proto.Message{Type: proto.MsgOK, Block: req.Block, Checksum: checksum(bad) + 1}, bad
+		return &proto.Message{Type: proto.MsgOK, Block: req.Block, Checksum: proto.ChunkChecksum(bad) + 1}, bad
 	})
 	nn := startFake(t, func(req *proto.Message, _ []byte) (*proto.Message, []byte) {
 		return &proto.Message{Type: proto.MsgOK, Locations: []proto.BlockLocation{

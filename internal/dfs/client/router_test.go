@@ -56,7 +56,7 @@ func (f *routerFake) call(addr string, req *proto.Message, payload []byte, timeo
 			return nil, nil, errors.New("replica down")
 		}
 		d := f.data[addr]
-		return &proto.Message{Type: proto.MsgOK, Block: req.Block, Checksum: checksum(d)}, d, nil
+		return &proto.Message{Type: proto.MsgOK, Block: req.Block, Checksum: proto.ChunkChecksum(d)}, d, nil
 	default:
 		return nil, nil, &proto.RemoteError{Msg: "unexpected message"}
 	}

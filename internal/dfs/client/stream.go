@@ -29,7 +29,7 @@ func (c *Client) writeBlockStreamed(block proto.BlockID, pipeline []string, data
 		Block:     block,
 		Pipeline:  pipeline[1:],
 		Length:    len(data),
-		Checksum:  checksum(data),
+		Checksum:  proto.ChunkChecksum(data),
 		ChunkSize: c.chunkSize,
 	}
 	st, err := c.openStream(pipeline[0], open, c.timeout)

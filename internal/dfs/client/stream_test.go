@@ -88,7 +88,7 @@ func TestStreamedWriteDeliversAndCommits(t *testing.T) {
 		mu.Unlock()
 		_ = st.Send(&proto.Message{
 			Type: proto.MsgStreamAck, Block: open.Block,
-			Offset: len(buf), Checksum: checksum(buf),
+			Offset: len(buf), Checksum: proto.ChunkChecksum(buf),
 		}, nil)
 	})
 	c := New("unused:0", WithSeed(1), WithChunkSize(64))

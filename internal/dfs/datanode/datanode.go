@@ -158,17 +158,18 @@ func Start(cfg Config) (*DataNode, error) {
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	dn.server = proto.ServeStreams(ln, dn.handle, dn.handleStream, cfg.Timeout)
 
 	// Registration retries under the backoff policy: a node booting
 	// while the namenode is briefly unreachable joins as soon as the
-	// window clears instead of failing its whole startup.
+	// window clears instead of failing its whole startup. The listener
+	// queues connections until the node knows its ID and starts serving,
+	// so no handler ever sees a node without one.
 	var resp *proto.Message
 	err = dn.retryDo("dfs.datanode.register_retries", func() error {
 		var callErr error
 		resp, _, callErr = dn.call(cfg.NameNodeAddr, &proto.Message{
 			Type:     proto.MsgRegister,
-			DataAddr: dn.server.Addr(),
+			DataAddr: ln.Addr().String(),
 			Rack:     cfg.Rack,
 			Capacity: cfg.CapacityBlocks,
 		}, nil, cfg.Timeout)
@@ -176,10 +177,11 @@ func Start(cfg Config) (*DataNode, error) {
 	})
 	if err != nil {
 		//lint:ignore errcheck best effort: the register error is what matters
-		_ = dn.server.Close()
+		_ = ln.Close()
 		return nil, fmt.Errorf("datanode: register: %w", err)
 	}
 	dn.id = resp.Node
+	dn.server = proto.ServeStreams(ln, dn.handle, dn.handleStream, cfg.Timeout)
 
 	go dn.heartbeatLoop()
 	return dn, nil
@@ -270,7 +272,7 @@ func (dn *DataNode) handleWrite(req *proto.Message, payload []byte) (*proto.Mess
 	if err != nil {
 		return proto.ErrorMessage(err), nil
 	}
-	if req.Checksum != 0 && Checksum(data) != req.Checksum {
+	if req.Checksum != 0 && proto.ChunkChecksum(data) != req.Checksum {
 		return proto.ErrorMessage(fmt.Errorf("%w: block %d on write", ErrCorrupt, req.Block)), nil
 	}
 	if err := dn.store.Put(req.Block, data); err != nil {
@@ -297,7 +299,7 @@ func (dn *DataNode) handleWrite(req *proto.Message, payload []byte) (*proto.Mess
 			return proto.ErrorMessage(fmt.Errorf("datanode: pipeline to %s: %w", next, err)), nil
 		}
 	}
-	return &proto.Message{Type: proto.MsgOK, Block: req.Block, Length: len(data), Checksum: Checksum(data)}, nil
+	return &proto.Message{Type: proto.MsgOK, Block: req.Block, Length: len(data), Checksum: proto.ChunkChecksum(data)}, nil
 }
 
 func (dn *DataNode) handleRead(req *proto.Message) (*proto.Message, []byte) {
@@ -308,7 +310,7 @@ func (dn *DataNode) handleRead(req *proto.Message) (*proto.Message, []byte) {
 		}
 		return proto.ErrorMessage(err), nil
 	}
-	return &proto.Message{Type: proto.MsgOK, Block: req.Block, Length: len(data), Checksum: Checksum(data)}, data
+	return &proto.Message{Type: proto.MsgOK, Block: req.Block, Length: len(data), Checksum: proto.ChunkChecksum(data)}, data
 }
 
 // evictCorrupt deletes a checksum-failed local replica and reports the
@@ -452,7 +454,7 @@ func (dn *DataNode) execute(cmd proto.Command) {
 			}
 			return // replica unusable; the namenode will reassign
 		}
-		msg := &proto.Message{Type: proto.MsgWriteBlock, Block: cmd.Block, Length: len(data), Checksum: Checksum(data)}
+		msg := &proto.Message{Type: proto.MsgWriteBlock, Block: cmd.Block, Length: len(data), Checksum: proto.ChunkChecksum(data)}
 		wire := data
 		if dn.cfg.CompressTransfers {
 			compressed, encoding, err := proto.Compress(data)

@@ -149,15 +149,15 @@ func TestWriteReadAndReport(t *testing.T) {
 	nn := startFakeNN(t)
 	dn := startDN(t, nn, false)
 	data := []byte("block contents")
-	if err := writeBlock(t, dn.Addr(), 5, data, Checksum(data), nil); err != nil {
+	if err := writeBlock(t, dn.Addr(), 5, data, proto.ChunkChecksum(data), nil); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	got, sum, err := readBlock(t, dn.Addr(), 5)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if !bytes.Equal(got, data) || sum != Checksum(data) {
-		t.Errorf("read = %q (sum %d), want %q (sum %d)", got, sum, data, Checksum(data))
+	if !bytes.Equal(got, data) || sum != proto.ChunkChecksum(data) {
+		t.Errorf("read = %q (sum %d), want %q (sum %d)", got, sum, data, proto.ChunkChecksum(data))
 	}
 	// The namenode heard about the block.
 	recv := nn.receivedBlocks()
@@ -173,7 +173,7 @@ func TestWriteRejectsBadChecksum(t *testing.T) {
 	nn := startFakeNN(t)
 	dn := startDN(t, nn, false)
 	data := []byte("corrupted in flight")
-	if err := writeBlock(t, dn.Addr(), 9, data, Checksum(data)+1, nil); err == nil {
+	if err := writeBlock(t, dn.Addr(), 9, data, proto.ChunkChecksum(data)+1, nil); err == nil {
 		t.Fatal("bad-checksum write accepted")
 	}
 	if dn.HasBlock(9) {
@@ -189,7 +189,7 @@ func TestPipelineForwarding(t *testing.T) {
 	dn1 := startDN(t, nn, false)
 	dn2 := startDN(t, nn, false)
 	data := []byte("pipelined")
-	if err := writeBlock(t, dn1.Addr(), 3, data, Checksum(data), []string{dn2.Addr()}); err != nil {
+	if err := writeBlock(t, dn1.Addr(), 3, data, proto.ChunkChecksum(data), []string{dn2.Addr()}); err != nil {
 		t.Fatalf("pipeline write: %v", err)
 	}
 	if !dn1.HasBlock(3) || !dn2.HasBlock(3) {
@@ -205,7 +205,7 @@ func TestPipelineFailureKeepsLocalCopy(t *testing.T) {
 	nn := startFakeNN(t)
 	dn := startDN(t, nn, false)
 	data := []byte("partial pipeline")
-	err := writeBlock(t, dn.Addr(), 4, data, Checksum(data), []string{"127.0.0.1:1"})
+	err := writeBlock(t, dn.Addr(), 4, data, proto.ChunkChecksum(data), []string{"127.0.0.1:1"})
 	if err == nil {
 		t.Fatal("pipeline to dead node reported success")
 	}
@@ -219,7 +219,7 @@ func TestReplicateCommandCompresses(t *testing.T) {
 	src := startDN(t, nn, true) // compression on
 	dst := startDN(t, nn, true)
 	data := bytes.Repeat([]byte("compressible "), 500)
-	if err := writeBlock(t, src.Addr(), 11, data, Checksum(data), nil); err != nil {
+	if err := writeBlock(t, src.Addr(), 11, data, proto.ChunkChecksum(data), nil); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	nn.queue(src.ID(), proto.Command{Kind: proto.CmdReplicate, Block: 11, Target: dst.Addr()})
@@ -240,7 +240,7 @@ func TestDeleteCommandReports(t *testing.T) {
 	nn := startFakeNN(t)
 	dn := startDN(t, nn, false)
 	data := []byte("to be deleted")
-	if err := writeBlock(t, dn.Addr(), 13, data, Checksum(data), nil); err != nil {
+	if err := writeBlock(t, dn.Addr(), 13, data, proto.ChunkChecksum(data), nil); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	nn.queue(dn.ID(), proto.Command{Kind: proto.CmdDelete, Block: 13})

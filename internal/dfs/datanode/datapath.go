@@ -9,8 +9,9 @@ import (
 )
 
 // handleStream dispatches one chunked data-path exchange (DESIGN.md
-// §15). Stream handlers own the conversation; the server closes the
-// connection when they return.
+// §15). Stream handlers own the conversation; when they return, the
+// server keeps the connection for the next request if the stream
+// settled and closes it otherwise.
 func (dn *DataNode) handleStream(open *proto.Message, _ []byte, st proto.BlockStream) {
 	switch open.Type {
 	case proto.MsgWriteBlockStream:
@@ -96,7 +97,7 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 			break
 		}
 	}
-	if open.Checksum != 0 && Checksum(buf) != open.Checksum {
+	if open.Checksum != 0 && proto.ChunkChecksum(buf) != open.Checksum {
 		//lint:ignore errcheck best effort; peer may be gone
 		_ = st.Send(proto.ErrorMessage(fmt.Errorf("%w: block %d on streamed write", ErrCorrupt, open.Block)), nil)
 		return
@@ -127,7 +128,7 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 	//lint:ignore errcheck best effort; peer may be gone
 	_ = st.Send(&proto.Message{
 		Type: proto.MsgStreamAck, Block: open.Block,
-		Offset: len(buf), Checksum: Checksum(buf),
+		Offset: len(buf), Checksum: proto.ChunkChecksum(buf),
 	}, nil)
 }
 

@@ -53,7 +53,7 @@ func streamWrite(t *testing.T, addr string, id proto.BlockID, data []byte, size 
 	t.Helper()
 	st, err := proto.OpenStream(addr, &proto.Message{
 		Type: proto.MsgWriteBlockStream, Block: id, Pipeline: pipeline,
-		Length: len(data), Checksum: Checksum(data), ChunkSize: size,
+		Length: len(data), Checksum: proto.ChunkChecksum(data), ChunkSize: size,
 	}, time.Second)
 	if err != nil {
 		return nil, err
@@ -99,7 +99,7 @@ func TestStreamWritePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("streamWrite: %v", err)
 	}
-	if ack.Type != proto.MsgStreamAck || ack.Offset != len(data) || ack.Checksum != Checksum(data) {
+	if ack.Type != proto.MsgStreamAck || ack.Offset != len(data) || ack.Checksum != proto.ChunkChecksum(data) {
 		t.Fatalf("ack = %+v, want MsgStreamAck for %d bytes", ack, len(data))
 	}
 	if !dn1.HasBlock(21) || !dn2.HasBlock(21) {
@@ -153,7 +153,7 @@ func TestStreamWriteChunkChecksumCorruption(t *testing.T) {
 	data := bytes.Repeat([]byte("x"), 600)
 	st, err := proto.OpenStream(dn.Addr(), &proto.Message{
 		Type: proto.MsgWriteBlockStream, Block: 24,
-		Length: len(data), Checksum: Checksum(data), ChunkSize: 256,
+		Length: len(data), Checksum: proto.ChunkChecksum(data), ChunkSize: 256,
 	}, time.Second)
 	if err != nil {
 		t.Fatalf("OpenStream: %v", err)
@@ -219,7 +219,7 @@ func TestStreamReadResumesAtOffset(t *testing.T) {
 	nn := startFakeNN(t)
 	dn := startDN(t, nn, false)
 	data := bytes.Repeat([]byte("0123456789"), 70)
-	if err := writeBlock(t, dn.Addr(), 26, data, Checksum(data), nil); err != nil {
+	if err := writeBlock(t, dn.Addr(), 26, data, proto.ChunkChecksum(data), nil); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	whole, err := streamRead(t, dn.Addr(), 26, 128, 0)
@@ -266,7 +266,7 @@ func TestHeartbeatDeltasAndResync(t *testing.T) {
 	nn.mu.Unlock()
 
 	data := []byte("delta me")
-	if err := writeBlock(t, dn.Addr(), 30, data, Checksum(data), nil); err != nil {
+	if err := writeBlock(t, dn.Addr(), 30, data, proto.ChunkChecksum(data), nil); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	waitFor("block 30 in a delta report", func() bool {
@@ -300,5 +300,46 @@ func TestHeartbeatDeltasAndResync(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("post-resync full report %v missing block 30", nn.lastFull)
+	}
+}
+
+// A closed datanode answers no reads, not even over connections a
+// client kept alive to it: Close drops idle kept-alive connections, so
+// the next read on one fails instead of being served.
+func TestClosedDataNodeServesNoPooledReads(t *testing.T) {
+	nn := startFakeNN(t)
+	dn := startDN(t, nn, false)
+	data := bytes.Repeat([]byte("kept-alive"), 50)
+	if err := writeBlock(t, dn.Addr(), 41, data, proto.ChunkChecksum(data), nil); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	tr := proto.NewTransport()
+	t.Cleanup(tr.CloseIdleConnections)
+	read := func() ([]byte, error) {
+		st, err := tr.OpenStream(dn.Addr(), &proto.Message{Type: proto.MsgReadBlockStream, Block: 41}, time.Second)
+		if err != nil {
+			return nil, err
+		}
+		defer st.Close()
+		var got []byte
+		for {
+			msg, chunk, err := st.Recv()
+			if err != nil {
+				return got, err
+			}
+			got = append(got, chunk...)
+			if msg.Eof {
+				return got, nil
+			}
+		}
+	}
+	if got, err := read(); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read before Close: %v", err)
+	}
+	if err := dn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := read(); err == nil {
+		t.Fatalf("a closed datanode served %d bytes over a kept-alive connection", len(got))
 	}
 }

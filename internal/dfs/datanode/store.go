@@ -3,7 +3,6 @@ package datanode
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -26,13 +25,6 @@ type BlockStore interface {
 	Has(id proto.BlockID) bool
 	List() []proto.BlockID
 	Len() int
-}
-
-// Checksum is the block checksum used end to end: the client stamps it
-// on write, every datanode in the pipeline verifies before storing, and
-// readers verify after transfer (HDFS uses CRC32 the same way).
-func Checksum(data []byte) uint32 {
-	return crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli))
 }
 
 // memStore keeps replicas in memory with their checksums, verifying on
@@ -64,7 +56,7 @@ func (s *memStore) Put(id proto.BlockID, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	s.blocks[id] = cp
-	s.sums[id] = Checksum(cp)
+	s.sums[id] = proto.ChunkChecksum(cp)
 	return nil
 }
 
@@ -75,7 +67,7 @@ func (s *memStore) Get(id proto.BlockID) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: block %d", ErrBlockNotFound, id)
 	}
-	if Checksum(data) != s.sums[id] {
+	if proto.ChunkChecksum(data) != s.sums[id] {
 		return nil, fmt.Errorf("%w: block %d", ErrCorrupt, id)
 	}
 	cp := make([]byte, len(data))
@@ -181,7 +173,7 @@ func (s *diskStore) Put(id proto.BlockID, data []byte) error {
 		return fmt.Errorf("%w: %d blocks", ErrStoreFull, len(s.index))
 	}
 	buf := make([]byte, 4+len(data))
-	sum := Checksum(data)
+	sum := proto.ChunkChecksum(data)
 	buf[0] = byte(sum >> 24)
 	buf[1] = byte(sum >> 16)
 	buf[2] = byte(sum >> 8)
@@ -215,7 +207,7 @@ func (s *diskStore) Get(id proto.BlockID) ([]byte, error) {
 	}
 	sum := uint32(buf[0])<<24 | uint32(buf[1])<<16 | uint32(buf[2])<<8 | uint32(buf[3])
 	data := buf[4:]
-	if Checksum(data) != sum {
+	if proto.ChunkChecksum(data) != sum {
 		return nil, fmt.Errorf("%w: block %d", ErrCorrupt, id)
 	}
 	return data, nil

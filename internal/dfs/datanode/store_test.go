@@ -227,10 +227,10 @@ func TestStoreRoundTripProperty(t *testing.T) {
 }
 
 func TestChecksumStability(t *testing.T) {
-	if Checksum([]byte("abc")) == Checksum([]byte("abd")) {
+	if proto.ChunkChecksum([]byte("abc")) == proto.ChunkChecksum([]byte("abd")) {
 		t.Error("checksum collision on trivially different inputs")
 	}
-	if Checksum(nil) != Checksum([]byte{}) {
+	if proto.ChunkChecksum(nil) != proto.ChunkChecksum([]byte{}) {
 		t.Error("nil and empty checksums differ")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"aurora/internal/dfs/client"
-	"aurora/internal/dfs/datanode"
 	"aurora/internal/dfs/proto"
 	"aurora/internal/metrics"
 )
@@ -46,7 +45,7 @@ func TestPipelineFailureReconcileRepairs(t *testing.T) {
 	st, err := proto.OpenStream(alloc.Pipeline[0], &proto.Message{
 		Type: proto.MsgWriteBlockStream, Block: alloc.Block,
 		Pipeline: []string{"127.0.0.1:1"},
-		Length:   len(data), Checksum: datanode.Checksum(data), ChunkSize: 256,
+		Length:   len(data), Checksum: proto.ChunkChecksum(data), ChunkSize: 256,
 	}, time.Second)
 	if err != nil {
 		t.Fatalf("OpenStream: %v", err)

@@ -10,10 +10,10 @@
 //
 // Both lengths are big-endian. The header is a Message; the payload
 // carries block bytes for Write/Read block operations and is empty
-// otherwise. Every connection carries one request frame and one response
-// frame (HTTP/1.0-style); this keeps connection state trivial at the
-// cost of a dial per request, which is irrelevant on the loopback
-// testbed the paper's Section VI.B experiment needs.
+// otherwise. A connection carries one exchange at a time — a request
+// and its response, or one stream — and is kept alive for the next
+// once the exchange has ended cleanly (Transport, Server; DESIGN.md
+// §15.1).
 package proto
 
 import (
@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 )
 
 // Limits protecting against malformed frames.
@@ -279,19 +280,14 @@ func writeFrame(w io.Writer, msg *Message, payload []byte) (int, error) {
 	if len(payload) > MaxPayloadBytes {
 		return 0, fmt.Errorf("%w: payload %d bytes", ErrFrameTooLarge, len(payload))
 	}
-	var lens [8]byte
+	lens := make([]byte, 8)
 	binary.BigEndian.PutUint32(lens[0:4], uint32(len(header)))
 	binary.BigEndian.PutUint32(lens[4:8], uint32(len(payload)))
-	if _, err := w.Write(lens[:]); err != nil {
-		return 0, fmt.Errorf("proto: write frame lengths: %w", err)
-	}
-	if _, err := w.Write(header); err != nil {
-		return 0, fmt.Errorf("proto: write header: %w", err)
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return 0, fmt.Errorf("proto: write payload: %w", err)
-		}
+	// One gather write: on a TCP connection the whole frame leaves in
+	// a single writev instead of one syscall per part.
+	bufs := net.Buffers{lens, header, payload}
+	if _, err := bufs.WriteTo(w); err != nil {
+		return 0, fmt.Errorf("proto: write frame: %w", err)
 	}
 	return len(lens) + len(header) + len(payload), nil
 }

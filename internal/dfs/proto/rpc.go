@@ -3,6 +3,7 @@ package proto
 import (
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"aurora/internal/metrics"
@@ -17,64 +18,21 @@ const DefaultTimeout = 10 * time.Second
 type CallFunc func(addr string, req *Message, payload []byte, timeout time.Duration) (*Message, []byte, error)
 
 // dialTimeout is the connect primitive, a seam so the deadline-budget
-// regression test can simulate a slow connect deterministically.
+// regression test can simulate a slow connect deterministically and the
+// reuse tests can count dials.
 var dialTimeout = net.DialTimeout
 
-// Call dials addr, sends one request frame and reads one response frame.
-// A non-nil error is returned for transport failures and for MsgError
-// responses (as *RemoteError). The timeout bounds the whole exchange,
-// dial included. Every call records per-RPC-type latency and wire-size
-// histograms and an in-flight gauge into metrics.Default. Wire sizes
-// count the full frame (length prefix + JSON header + payload), so
-// header-heavy RPCs like block reports are measured honestly.
+// Call sends one request frame to addr and reads one response frame,
+// over the process-wide Transport: a kept-alive connection when one is
+// idle, else a fresh dial. A non-nil error is returned for transport
+// failures and for MsgError responses (as *RemoteError). The timeout
+// bounds the whole exchange, dial included. Every call records
+// per-RPC-type latency and wire-size histograms and an in-flight gauge
+// into metrics.Default. Wire sizes count the full frame (length prefix
+// + JSON header + payload), so header-heavy RPCs like block reports are
+// measured honestly.
 func Call(addr string, req *Message, payload []byte, timeout time.Duration) (*Message, []byte, error) {
-	typ := metrics.L("type", string(req.Type))
-	inflight := metrics.Default.Gauge("aurora_rpc_client_inflight")
-	inflight.Inc()
-	start := time.Now()
-	resp, respPayload, wrote, read, err := callConn(addr, req, payload, timeout)
-	metrics.Default.Histogram("aurora_rpc_latency_seconds", typ).Observe(time.Since(start).Seconds())
-	inflight.Dec()
-	if err != nil {
-		metrics.Default.Counter("aurora_rpc_errors", typ).Inc()
-		return resp, respPayload, err
-	}
-	metrics.Default.Histogram("aurora_rpc_request_bytes", typ).Observe(float64(wrote))
-	metrics.Default.Histogram("aurora_rpc_response_bytes", typ).Observe(float64(read))
-	return resp, respPayload, nil
-}
-
-// callConn is the uninstrumented transport; it also reports the wire
-// bytes written and read. A single deadline computed up front bounds
-// dial, write and read together: time spent connecting is charged
-// against the same budget as the request/response round trip, so one
-// call can never take ~2x its timeout (the bug the regression test in
-// rpc_test.go pins).
-func callConn(addr string, req *Message, payload []byte, timeout time.Duration) (*Message, []byte, int, int, error) {
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-	deadline := time.Now().Add(timeout)
-	conn, err := dialTimeout("tcp", addr, time.Until(deadline))
-	if err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("proto: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(deadline); err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("proto: set deadline: %w", err)
-	}
-	wrote, err := writeFrame(conn, req, payload)
-	if err != nil {
-		return nil, nil, wrote, 0, err
-	}
-	resp, respPayload, read, err := readFrame(conn)
-	if err != nil {
-		return nil, nil, wrote, read, err
-	}
-	if err := resp.AsError(); err != nil {
-		return nil, nil, wrote, read, err
-	}
-	return resp, respPayload, wrote, read, nil
+	return defaultTransport.Call(addr, req, payload, timeout)
 }
 
 // Handler processes one request and returns the response.
@@ -83,16 +41,24 @@ type Handler func(req *Message, payload []byte) (*Message, []byte)
 // StreamHandler drives one chunked data-path exchange. It receives the
 // opening frame (a type for which OpensStream reports true, plus any
 // payload riding on it) and the live stream, and owns the conversation
-// until it returns; the server closes the connection afterwards.
+// until it returns. If the stream has settled by then, the server reads
+// the connection's next request; otherwise it closes the connection.
 type StreamHandler func(open *Message, payload []byte, st BlockStream)
 
-// Server accepts one-shot request/response connections and dispatches
-// them to a Handler.
+// Server accepts kept-alive connections and dispatches each request on
+// them to a Handler, or to a StreamHandler for stream openings.
 type Server struct {
-	ln      net.Listener
-	done    chan struct{}
-	timeout time.Duration
-	streams StreamHandler
+	ln       net.Listener
+	done     chan struct{}
+	timeout  time.Duration
+	streams  StreamHandler
+	inflight *metrics.Gauge
+	served   *typeHandles[metrics.LogHistogram]
+	stream   *streamMetrics
+
+	mu     sync.Mutex
+	closed bool
+	conns  map[*conn]bool // live connections; true while idle between requests
 }
 
 // Serve starts accepting on ln. It owns the listener; Close stops it.
@@ -111,7 +77,16 @@ func ServeStreams(ln net.Listener, h Handler, sh StreamHandler, timeout time.Dur
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	s := &Server{ln: ln, done: make(chan struct{}), timeout: timeout, streams: sh}
+	s := &Server{
+		ln: ln, done: make(chan struct{}), timeout: timeout, streams: sh,
+		inflight: metrics.Default.Gauge("aurora_rpc_server_inflight"),
+		served: newTypeHandles(func(typ MsgType) *metrics.LogHistogram {
+			return metrics.Default.Histogram("aurora_rpc_server_seconds", metrics.L("type", string(typ)))
+		}),
+		stream: newStreamMetrics(),
+		conns:  make(map[*conn]bool),
+	}
+	defaultTransport.serverOpened(s.Addr())
 	go s.acceptLoop(h)
 	return s
 }
@@ -119,57 +94,105 @@ func ServeStreams(ln net.Listener, h Handler, sh StreamHandler, timeout time.Dur
 // Addr returns the listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the listener and waits for the accept loop to exit.
-// In-flight connection goroutines finish on their own deadlines.
+// Close stops the listener, closes every idle kept-alive connection at
+// once and waits for the accept loop to exit. A connection busy with an
+// exchange is closed as soon as that exchange ends, so no request that
+// arrives after Close is served. The process-wide Transport drops its
+// idle connections to the server and pools none that come back later.
 func (s *Server) Close() error {
+	s.mu.Lock()
+	s.closed = true
+	for c, idle := range s.conns {
+		if idle {
+			//lint:ignore errcheck teardown; the connection goroutine sees the error and exits
+			_ = c.close()
+		}
+	}
+	s.mu.Unlock()
 	err := s.ln.Close()
 	<-s.done
+	defaultTransport.serverClosed(s.Addr())
 	return err
 }
 
 func (s *Server) acceptLoop(h Handler) {
 	defer close(s.done)
 	for {
-		conn, err := s.ln.Accept()
+		nc, err := s.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		//lint:ignore goroleak connection-scoped: serveConn exits on the per-conn read deadline or EOF, and Close tears the listener (and thus all conns) down
-		go s.serveConn(conn, h)
+		//lint:ignore goroleak connection-scoped: serveConn exits on EOF, on the idle or per-exchange deadline, or when Close closes the connection
+		go s.serveConn(newConn(nc), h)
 	}
 }
 
-func (s *Server) serveConn(conn net.Conn, h Handler) {
-	defer conn.Close()
-	inflight := metrics.Default.Gauge("aurora_rpc_server_inflight")
-	inflight.Inc()
-	defer inflight.Dec()
-	if err := conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
-		return
+// setIdle records c as idle (idle=true) or busy with an exchange. It
+// reports false once the server is closed; the caller then closes c.
+func (s *Server) setIdle(c *conn, idle bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
 	}
-	req, payload, err := ReadFrame(conn)
+	s.conns[c] = idle
+	return true
+}
+
+// serveConn serves one connection: wait for the next request under the
+// idle deadline, serve it, repeat while each exchange ends cleanly.
+func (s *Server) serveConn(c *conn, h Handler) {
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, c)
+		s.mu.Unlock()
+		//lint:ignore errcheck connection teardown; nothing to report
+		_ = c.close()
+	}()
+	for s.setIdle(c, true) {
+		if err := c.nc.SetDeadline(time.Now().Add(serverIdleTimeout)); err != nil {
+			return
+		}
+		if _, err := c.br.Peek(1); err != nil {
+			return // peer closed, idle too long, or Close closed c
+		}
+		if !s.setIdle(c, false) || !s.serveOne(c, h) {
+			return
+		}
+	}
+}
+
+// serveOne reads one request on c and answers it. It reports whether
+// the exchange ended cleanly, so that c may carry the next one.
+func (s *Server) serveOne(c *conn, h Handler) bool {
+	s.inflight.Inc()
+	defer s.inflight.Dec()
+	if err := c.nc.SetDeadline(time.Now().Add(s.timeout)); err != nil {
+		return false
+	}
+	req, payload, _, err := readFrame(c.br)
 	if err != nil {
-		return // peer vanished or sent garbage; nothing to answer
+		return false // peer vanished or sent garbage; nothing to answer
 	}
+	served := s.served.get(req.Type)
 	if req.Type.OpensStream() {
 		if s.streams == nil {
 			//lint:ignore errcheck best effort; peer may be gone
-			_ = WriteFrame(conn, ErrorMessage(fmt.Errorf("proto: %s: no stream handler", req.Type)), nil)
-			return
+			_, _ = writeFrame(c.nc, ErrorMessage(fmt.Errorf("proto: %s: no stream handler", req.Type)), nil)
+			return false
 		}
 		start := time.Now()
-		s.streams(req, payload, NewStream(conn, s.timeout))
-		metrics.Default.Histogram("aurora_rpc_server_seconds",
-			metrics.L("type", string(req.Type))).Observe(time.Since(start).Seconds())
-		return
+		st := newStream(c, req.Type, s.timeout, s.stream)
+		s.streams(req, payload, st)
+		served.Observe(time.Since(start).Seconds())
+		return st.handBack()
 	}
 	start := time.Now()
 	resp, respPayload := h(req, payload)
-	metrics.Default.Histogram("aurora_rpc_server_seconds",
-		metrics.L("type", string(req.Type))).Observe(time.Since(start).Seconds())
+	served.Observe(time.Since(start).Seconds())
 	if resp == nil {
 		resp = &Message{Type: MsgOK}
 	}
-	//lint:ignore errcheck best effort; peer may be gone
-	_ = WriteFrame(conn, resp, respPayload)
+	_, err = writeFrame(c.nc, resp, respPayload)
+	return err == nil
 }
