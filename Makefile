@@ -3,12 +3,14 @@ GO ?= go
 .PHONY: all build test vet lint lint-baseline lint-sarif race bench bench-check chaos fuzz-smoke telemetry-smoke datapath-smoke scenario-smoke ci
 
 # Hot-path benchmarks recorded by `make bench` (see README.md,
-# "Benchmark ledger"). BENCH_LABEL picks the ledger column. The metrics
-# record path (//lint:hotpath roots) is benched separately so its
-# allocs/op rows — expected 0 — sit in the same ledger.
-BENCH_PATTERN ?= ^(BenchmarkLocalSearchNode|BenchmarkLocalSearchRack|BenchmarkOptimizePeriod|BenchmarkOptimizePeriodSharded|BenchmarkDataPathThroughput)$$
+# "Benchmark ledger"). BENCH_LABEL picks the ledger column `make bench`
+# writes and `make bench-check` gates allocs/op against (CI's
+# bench-smoke checks the same column). The metrics record path
+# (//lint:hotpath roots) is benched separately so its allocs/op rows —
+# expected 0 — sit in the same ledger.
+BENCH_PATTERN ?= ^(BenchmarkLocalSearchNode|BenchmarkLocalSearchRack|BenchmarkOptimizePeriod|BenchmarkOptimizePeriodSharded|BenchmarkDataPathThroughput|BenchmarkSimEventLoop)$$
 BENCH_METRICS_PATTERN ?= ^(BenchmarkLogHistogramObserve|BenchmarkGaugeAdd|BenchmarkRegistryCounterLookupInc)$$
-BENCH_LABEL ?= after
+BENCH_LABEL ?= simloop
 
 all: build test
 

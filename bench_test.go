@@ -668,6 +668,45 @@ func BenchmarkDataPathThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkSimEventLoop measures the simulator's event loop: one
+// sim.Run of a 2-hour diurnal trace on 4×20 machines with 4 slots each.
+// The HDFS policy never reconfigures, so apart from its random initial
+// placement the time and allocations are the loop's own: arrivals,
+// locality queues, scheduling and completions. allocs/op rides the
+// ratchet so the loop stays allocation-free per task.
+func BenchmarkSimEventLoop(b *testing.B) {
+	cl, err := topology.Uniform(4, 20, 400, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := trace.GenerateScenario(trace.ScenarioDiurnal, trace.ScenarioConfig{
+		Seed: 42, Files: 300, Hours: 2, JobsPerHour: 1500, PeriodHours: 2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var tasks int64
+	for _, j := range tr.Jobs {
+		tasks += int64(len(j.Blocks))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pol, err := sim.NewHDFSPolicy(42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := sim.Run(sim.Config{Cluster: cl, Trace: tr, Policy: pol})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.TotalTasks() != tasks {
+			b.Fatalf("ran %d tasks, want %d", res.TotalTasks(), tasks)
+		}
+	}
+	b.ReportMetric(float64(tasks)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
+}
+
 // BenchmarkAblationReplicationOnRead compares Aurora against Aurora with
 // the paper's future-work replication-on-read extension and against the
 // DARE baseline, under the same budget.

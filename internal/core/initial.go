@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"aurora/internal/topology"
 )
@@ -122,15 +123,14 @@ func racksByLoad(p *Placement) []topology.RackID {
 	racks := p.Cluster().Racks()
 	// p.rackUsed is maintained incrementally and equals the per-rack sum of
 	// Used(m) the previous implementation recomputed here in O(M).
-	sort.Slice(racks, func(a, b int) bool {
-		la, lb := p.RackLoadOf(racks[a]), p.RackLoadOf(racks[b])
-		if !floatEq(la, lb) {
-			return la < lb
+	slices.SortFunc(racks, func(a, b topology.RackID) int {
+		if la, lb := p.RackLoadOf(a), p.RackLoadOf(b); !floatEq(la, lb) {
+			return cmp.Compare(la, lb)
 		}
-		if p.rackUsed[racks[a]] != p.rackUsed[racks[b]] {
-			return p.rackUsed[racks[a]] < p.rackUsed[racks[b]]
+		if c := cmp.Compare(p.rackUsed[a], p.rackUsed[b]); c != 0 {
+			return c
 		}
-		return racks[a] < racks[b]
+		return cmp.Compare(a, b)
 	})
 	return racks
 }
@@ -140,6 +140,7 @@ func racksByLoad(p *Placement) []topology.RackID {
 // host block id, or NoMachine. Ties break by stored replica count, then
 // machine ID, so zero-popularity placement degrades to disk balancing.
 func leastLoadedHost(p *Placement, id BlockID, racks []topology.RackID, skipRack func(topology.RackID) bool) topology.MachineID {
+	b := p.blocks[id] // nil for an unknown block, which has no holders
 	for _, r := range racks {
 		if skipRack != nil && skipRack(r) {
 			continue
@@ -151,8 +152,8 @@ func leastLoadedHost(p *Placement, id BlockID, racks []topology.RackID, skipRack
 		best := topology.NoMachine
 		bestLoad := 0.0
 		for _, m := range ms {
-			if !canHost(p, id, m) {
-				continue
+			if (b != nil && b.hasHolder(m)) || p.FreeCapacity(m) <= 0 {
+				continue // same test as canHost, without a map lookup per machine
 			}
 			load := p.Load(m)
 			if best == topology.NoMachine || load < bestLoad ||

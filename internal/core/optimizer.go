@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"aurora/internal/topology"
@@ -310,12 +312,11 @@ func appendReplicasByLoadDescending(p *Placement, id BlockID, buf []topology.Mac
 	start := len(buf)
 	buf = p.AppendReplicas(id, buf)
 	ms := buf[start:]
-	sort.Slice(ms, func(a, b int) bool {
-		la, lb := p.Load(ms[a]), p.Load(ms[b])
-		if !floatEq(la, lb) {
-			return la > lb
+	slices.SortFunc(ms, func(a, b topology.MachineID) int {
+		if la, lb := p.Load(a), p.Load(b); !floatEq(la, lb) {
+			return cmp.Compare(lb, la)
 		}
-		return ms[a] < ms[b]
+		return cmp.Compare(a, b)
 	})
 	return buf
 }

@@ -7,9 +7,9 @@ package sim
 //lint:deterministic
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 
 	"aurora/internal/core"
 	"aurora/internal/par"
@@ -223,25 +223,29 @@ func (r *Result) MeanPredError() (wae, topK float64, periods int) {
 	return wae / float64(periods), topK / float64(periods), periods
 }
 
-// task is one pending map task. done marks it consumed (it may still be
-// referenced by other queues as a tombstone).
+// task is one pending map task, packed into 24 bytes: the arena holds
+// one per task of the trace. job is the job's index in Trace.Jobs. done
+// marks the task consumed (it may still be referenced by other queues as
+// a tombstone).
 type task struct {
-	job   int64
 	block core.BlockID
 	dur   int64
+	job   int32
 	done  bool
 }
 
-// fifo is an index queue with O(1) amortized pop and periodic
-// compaction.
+// fifo is a queue of arena indices with O(1) amortized pop. Once more
+// than half of the backing array is consumed, pop slides the live tail
+// to the front in place, so the capacity is kept and a steady stream of
+// push/pop allocates nothing.
 type fifo struct {
-	items []int
+	items []int32
 	pos   int
 }
 
-func (q *fifo) push(idx int) { q.items = append(q.items, idx) }
+func (q *fifo) push(idx int32) { q.items = append(q.items, idx) }
 
-func (q *fifo) peek() (int, bool) {
+func (q *fifo) peek() (int32, bool) {
 	if q.pos >= len(q.items) {
 		return 0, false
 	}
@@ -251,7 +255,7 @@ func (q *fifo) peek() (int, bool) {
 func (q *fifo) pop() {
 	q.pos++
 	if q.pos > 4096 && q.pos*2 > len(q.items) {
-		q.items = append([]int(nil), q.items[q.pos:]...)
+		q.items = q.items[:copy(q.items, q.items[q.pos:])]
 		q.pos = 0
 	}
 }
@@ -265,31 +269,105 @@ func (q *fifo) pendingLive(arena []task) bool {
 	return q.pos < len(q.items)
 }
 
-// completion is a scheduled task finish event.
+// completion is a scheduled task finish event. job is the job's index
+// in Trace.Jobs.
 type completion struct {
 	at      int64
 	seq     int64
 	machine topology.MachineID
-	job     int64
+	job     int32
 }
 
+// completionHeap is a binary min-heap of completions ordered by
+// (at, seq). seq is unique per completion, so the pop order is fully
+// determined by the keys, whatever the heap's internal layout.
 type completionHeap []completion
 
-func (h completionHeap) Len() int { return len(h) }
-func (h completionHeap) Less(i, j int) bool {
+func (h completionHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h completionHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x any)   { *h = append(*h, x.(completion)) }
-func (h *completionHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func (h *completionHeap) push(c completion) {
+	s := append(*h, c)
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+	*h = s
+}
+
+// pop removes and returns the earliest completion. The heap must be
+// non-empty.
+func (h *completionHeap) pop() completion {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s.less(r, j) {
+			j = r
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s
+	return top
+}
+
 func (h completionHeap) peek() (int64, bool) {
 	if len(h) == 0 {
 		return 0, false
 	}
 	return h[0].at, true
+}
+
+// jobCount is the event loop's per-job state, indexed like Trace.Jobs:
+// tasks not yet completed, and tasks that ran rack-local or remote.
+type jobCount struct {
+	left   int32
+	remote int32
+}
+
+// countTasks validates the job stream the event loop relies on and
+// returns its total task count. Arrivals must not decrease (the
+// simulated clock only moves forward), every job needs at least one
+// block (a job with none could never complete), and job and task
+// counts must fit below limit, because the event loop indexes both
+// with int32.
+func countTasks(jobs []trace.Job, limit int) (int, error) {
+	if len(jobs) > limit {
+		return 0, fmt.Errorf("%w: %d jobs exceed the limit of %d", ErrBadSimConfig, len(jobs), limit)
+	}
+	total := 0
+	for i, j := range jobs {
+		if len(j.Blocks) == 0 {
+			return 0, fmt.Errorf("%w: job %d has no blocks", ErrBadSimConfig, j.ID)
+		}
+		if i > 0 && j.Arrival < jobs[i-1].Arrival {
+			return 0, fmt.Errorf("%w: job %d arrives at %d, before job %d at %d",
+				ErrBadSimConfig, j.ID, j.Arrival, jobs[i-1].ID, jobs[i-1].Arrival)
+		}
+		total += len(j.Blocks)
+		if total > limit {
+			return 0, fmt.Errorf("%w: more than %d tasks", ErrBadSimConfig, limit)
+		}
+	}
+	return total, nil
 }
 
 // RunMany executes independent simulation configs with up to `workers`
@@ -319,6 +397,11 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	jobs := cfg.Trace.Jobs
+	totalTasks, err := countTasks(jobs, math.MaxInt32)
+	if err != nil {
+		return nil, err
+	}
 	pl, err := core.NewPlacement(cfg.Cluster, cfg.Trace.BlockSpecs())
 	if err != nil {
 		return nil, fmt.Errorf("sim: placement: %w", err)
@@ -344,20 +427,26 @@ func Run(cfg Config) (*Result, error) {
 		Policy:          cfg.Policy.Name(),
 		TasksPerMachine: make([]int64, cfg.Cluster.NumMachines()),
 	}
+	if len(jobs) > 0 {
+		// Every job completes, so this is res.Jobs' final size. An
+		// empty trace keeps a nil slice.
+		res.Jobs = make([]JobStat, 0, len(jobs))
+	}
 	var (
-		// Pending tasks live in an arena; the global FIFO and the
-		// per-machine locality queues hold indices into it, with done
-		// flags as tombstones (a task sits in up to k+1 queues).
-		arena      []task
+		// Every task of the trace lives in one arena, sized up front; the
+		// global FIFO and the per-machine locality queues hold indices
+		// into it, with done flags as tombstones (a task sits in up to
+		// k+1 queues).
+		arena      = make([]task, 0, totalTasks)
 		globalQ    fifo
 		localQ     = make([]fifo, cfg.Cluster.NumMachines())
 		dirty      = make([]bool, cfg.Cluster.NumMachines())
 		dirtyList  []topology.MachineID
+		holders    []topology.MachineID // enqueue's reused replica buffer
 		comps      completionHeap
 		seq        int64
 		now        int64
-		jobsLeft   = make(map[int64]*JobStat, len(cfg.Trace.Jobs))
-		remaining  = make(map[int64]int, len(cfg.Trace.Jobs))
+		counts     = make([]jobCount, len(jobs))
 		arrIdx     int
 		epoch      = 1
 		epochStats = EpochStats{Epoch: 1}
@@ -369,14 +458,15 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	enqueue := func(tk task) {
-		idx := len(arena)
+		idx := int32(len(arena))
 		arena = append(arena, tk)
 		globalQ.push(idx)
 		// Register the task as a local candidate on every current
 		// holder of its block. Replicas created later (mid-epoch
 		// replication-on-read, epoch reconfigurations) are still found
 		// by the head fallback, which consults the live placement.
-		for _, m := range pl.Replicas(tk.block) {
+		holders = pl.AppendReplicas(tk.block, holders[:0])
+		for _, m := range holders {
 			localQ[m].push(idx)
 			markDirty(m)
 		}
@@ -414,19 +504,19 @@ func Run(cfg Config) (*Result, error) {
 			res.RackLocalTasks++
 			epochStats.RemoteTasks++
 			dur = int64(float64(dur) * cfg.RackLocalSlowdown)
-			jobsLeft[tk.job].Remote++
+			counts[tk.job].remote++
 		default:
 			res.RemoteTasks++
 			epochStats.RemoteTasks++
 			dur = int64(float64(dur) * cfg.RemoteSlowdown)
-			jobsLeft[tk.job].Remote++
+			counts[tk.job].remote++
 		}
 		if dur < 1 {
 			dur = 1
 		}
 		res.TasksPerMachine[a.Machine]++
 		seq++
-		heap.Push(&comps, completion{at: now + dur, seq: seq, machine: a.Machine, job: tk.job})
+		comps.push(completion{at: now + dur, seq: seq, machine: a.Machine, job: tk.job})
 	}
 
 	// drainLocal launches pending tasks that are node-local to machine m
@@ -464,9 +554,8 @@ func Run(cfg Config) (*Result, error) {
 			// Pass 1: machines with fresh free slots or fresh local
 			// candidates launch node-local work.
 			progress := false
-			for len(dirtyList) > 0 {
-				m := dirtyList[0]
-				dirtyList = dirtyList[1:]
+			for i := 0; i < len(dirtyList); i++ {
+				m := dirtyList[i]
 				dirty[m] = false
 				before := slots.Free(m)
 				drainLocal(m)
@@ -474,6 +563,7 @@ func Run(cfg Config) (*Result, error) {
 					progress = true
 				}
 			}
+			dirtyList = dirtyList[:0]
 			if progress {
 				continue
 			}
@@ -558,7 +648,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	nextEpochAt := cfg.EpochTicks
-	jobs := cfg.Trace.Jobs
 	for {
 		// Determine the next event time.
 		next := int64(-1)
@@ -568,7 +657,7 @@ func Run(cfg Config) (*Result, error) {
 		if arrIdx < len(jobs) && (next == -1 || jobs[arrIdx].Arrival < next) {
 			next = jobs[arrIdx].Arrival
 		}
-		busy := comps.Len() > 0 || arrIdx < len(jobs) || globalQ.pendingLive(arena)
+		busy := len(comps) > 0 || arrIdx < len(jobs) || globalQ.pendingLive(arena)
 		if !busy {
 			break
 		}
@@ -589,18 +678,22 @@ func Run(cfg Config) (*Result, error) {
 		now = next
 
 		// 1. Completions at `now` free slots.
-		for comps.Len() > 0 && comps[0].at == now {
-			c := heap.Pop(&comps).(completion)
+		for len(comps) > 0 && comps[0].at == now {
+			c := comps.pop()
 			slots.Release(c.machine)
 			markDirty(c.machine)
-			remaining[c.job]--
-			if remaining[c.job] == 0 {
-				js := jobsLeft[c.job]
-				js.Finish = now
-				js.Duration = now - js.Arrival
-				res.Jobs = append(res.Jobs, *js)
-				delete(jobsLeft, c.job)
-				delete(remaining, c.job)
+			jc := &counts[c.job]
+			jc.left--
+			if jc.left == 0 {
+				j := &jobs[c.job]
+				res.Jobs = append(res.Jobs, JobStat{
+					ID:       j.ID,
+					Arrival:  j.Arrival,
+					Finish:   now,
+					Tasks:    len(j.Blocks),
+					Remote:   int(jc.remote),
+					Duration: now - j.Arrival,
+				})
 			}
 			if now > res.MakespanTicks {
 				res.MakespanTicks = now
@@ -608,12 +701,12 @@ func Run(cfg Config) (*Result, error) {
 		}
 		// 2. Arrivals at `now` enqueue tasks.
 		for arrIdx < len(jobs) && jobs[arrIdx].Arrival == now {
-			j := jobs[arrIdx]
+			j := &jobs[arrIdx]
+			ji := int32(arrIdx)
 			arrIdx++
-			jobsLeft[j.ID] = &JobStat{ID: j.ID, Arrival: j.Arrival, Tasks: len(j.Blocks)}
-			remaining[j.ID] = len(j.Blocks)
+			counts[ji].left = int32(len(j.Blocks))
 			for _, b := range j.Blocks {
-				enqueue(task{job: j.ID, block: b, dur: j.TaskDuration})
+				enqueue(task{block: b, dur: j.TaskDuration, job: ji})
 			}
 		}
 		// 3. Fill freed slots.

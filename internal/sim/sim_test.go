@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"aurora/internal/baseline"
@@ -315,5 +316,104 @@ func TestSchedulerStability(t *testing.T) {
 	if res.MakespanTicks > horizon+horizon/4 {
 		t.Errorf("makespan %d exceeds horizon %d by more than 25%% — scheduler unstable",
 			res.MakespanTicks, horizon)
+	}
+}
+
+// tinyTrace is a hand-built trace over one 4-block file.
+func tinyTrace(jobs ...trace.Job) *trace.Trace {
+	return &trace.Trace{
+		Config: trace.Config{MinReplicas: 3, MinRacks: 2},
+		Files:  []trace.File{{ID: 1, Blocks: []core.BlockID{1, 2, 3, 4}}},
+		Jobs:   jobs,
+	}
+}
+
+// Two jobs sharing an ID are still two jobs: each completes on its own
+// and reports its own arrival, task count and duration.
+func TestRunDuplicateJobIDs(t *testing.T) {
+	tr := tinyTrace(
+		trace.Job{ID: 7, Arrival: 1, File: 1, Blocks: []core.BlockID{1, 2, 3}, TaskDuration: 9},
+		trace.Job{ID: 7, Arrival: 2, File: 1, Blocks: []core.BlockID{4}, TaskDuration: 20},
+	)
+	pol, err := NewHDFSPolicy(1)
+	if err != nil {
+		t.Fatalf("NewHDFSPolicy: %v", err)
+	}
+	res, err := Run(Config{Cluster: smallCluster(t), Trace: tr, Policy: pol})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// Every task runs node-local on an idle cluster.
+	want := []JobStat{
+		{ID: 7, Arrival: 1, Finish: 10, Tasks: 3, Duration: 9},
+		{ID: 7, Arrival: 2, Finish: 22, Tasks: 1, Duration: 20},
+	}
+	if !reflect.DeepEqual(res.Jobs, want) {
+		t.Errorf("Jobs = %+v, want %+v", res.Jobs, want)
+	}
+}
+
+// A trace the event loop cannot replay faithfully is rejected before
+// the simulation starts.
+func TestRunRejectsBadTraces(t *testing.T) {
+	blocks := []core.BlockID{1, 2}
+	tests := []struct {
+		name string
+		tr   *trace.Trace
+	}{
+		{"decreasing arrivals", tinyTrace(
+			trace.Job{ID: 1, Arrival: 100, File: 1, Blocks: blocks, TaskDuration: 5},
+			trace.Job{ID: 2, Arrival: 5, File: 1, Blocks: blocks, TaskDuration: 5},
+		)},
+		{"job without blocks", tinyTrace(
+			trace.Job{ID: 1, Arrival: 1, File: 1, Blocks: blocks, TaskDuration: 5},
+			trace.Job{ID: 2, Arrival: 2, File: 1, TaskDuration: 5},
+		)},
+	}
+	// More than MaxInt32 tasks: 2^15+1 jobs of 2^16 blocks each, all
+	// sharing one block slice.
+	wide := make([]core.BlockID, 1<<16)
+	for i := range wide {
+		wide[i] = 1
+	}
+	huge := tinyTrace()
+	huge.Jobs = make([]trace.Job, 1<<15+1)
+	for i := range huge.Jobs {
+		huge.Jobs[i] = trace.Job{ID: int64(i), Arrival: 1, File: 1, Blocks: wide, TaskDuration: 1}
+	}
+	tests = append(tests, struct {
+		name string
+		tr   *trace.Trace
+	}{"too many tasks", huge})
+	pol, err := NewHDFSPolicy(1)
+	if err != nil {
+		t.Fatalf("NewHDFSPolicy: %v", err)
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if _, err := Run(Config{Cluster: smallCluster(t), Trace: tt.tr, Policy: pol}); !errors.Is(err, ErrBadSimConfig) {
+				t.Errorf("err = %v, want ErrBadSimConfig", err)
+			}
+		})
+	}
+}
+
+// countTasks bounds the job count and the task count separately; a
+// small limit stands in for MaxInt32 jobs, which no test can allocate.
+func TestCountTasksLimits(t *testing.T) {
+	blocks := []core.BlockID{1, 2}
+	jobs := []trace.Job{
+		{ID: 1, Arrival: 1, Blocks: blocks},
+		{ID: 2, Arrival: 1, Blocks: blocks},
+		{ID: 3, Arrival: 4, Blocks: blocks},
+	}
+	if n, err := countTasks(jobs, 6); err != nil || n != 6 {
+		t.Errorf("countTasks(limit 6) = %d, %v; want 6, nil", n, err)
+	}
+	if _, err := countTasks(jobs, 2); !errors.Is(err, ErrBadSimConfig) {
+		t.Errorf("3 jobs under limit 2: err = %v, want ErrBadSimConfig", err)
+	}
+	if _, err := countTasks(jobs, 5); !errors.Is(err, ErrBadSimConfig) {
+		t.Errorf("6 tasks under limit 5: err = %v, want ErrBadSimConfig", err)
 	}
 }
